@@ -7,7 +7,7 @@ and on tame quivers synthesizes weights constructively from tube data.  All
 arithmetic is exact over the rationals.
 """
 
-from .catalog import CATALOG_NAMES, CatalogEntry, load
+from .catalog import CATALOG_NAMES, load
 from .jsonio import Bundle, InputError, load_bundle, parse_bundle
 from .linalg import InconsistentSystem, Mat, kernel_basis, rref, solve_linear
 from .quiver import (
@@ -44,6 +44,7 @@ from .stability import (
     StabilityReport,
     SubrepDimSet,
     check_stability,
+    common_weight,
     find_weight,
     is_locally_semisimple,
     subrep_dimvectors,

@@ -9,13 +9,12 @@ catalogs against the radical vector and the Coxeter transformation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from .jsonio import Bundle, parse_bundle
 from .synthesis import validate_catalog
 
-__all__ = ["CatalogEntry", "CATALOG_NAMES", "load"]
+__all__ = ["CATALOG_NAMES", "load"]
 
 CATALOG_NAMES = ("A3", "K2", "K3", "D5tilde")
 
@@ -27,32 +26,7 @@ _FILES = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    bundle: Bundle
-
-    @property
-    def name(self) -> str:
-        return self.bundle.name
-
-    @property
-    def quiver(self):
-        return self.bundle.quiver
-
-    @property
-    def representations(self):
-        return self.bundle.representations
-
-    @property
-    def tubes(self):
-        return self.bundle.tubes
-
-    @property
-    def sequences(self):
-        return self.bundle.sequences
-
-
-def load(name: str) -> CatalogEntry:
+def load(name: str) -> Bundle:
     """Load and validate a built-in entry; name is one of CATALOG_NAMES."""
     if name not in _FILES:
         raise KeyError(f"unknown catalog entry {name!r}; "
@@ -61,4 +35,4 @@ def load(name: str) -> CatalogEntry:
     bundle = parse_bundle(json.loads(text))
     if bundle.tubes is not None:
         validate_catalog(bundle.tubes, bundle.quiver)
-    return CatalogEntry(bundle)
+    return bundle

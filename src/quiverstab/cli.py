@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> Bundle:
     if args.catalog:
-        return catalog_mod.load(args.catalog).bundle
+        return catalog_mod.load(args.catalog)
     return load_bundle(args.input)
 
 

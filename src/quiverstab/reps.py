@@ -6,7 +6,10 @@ the exact kernel of the commutation system
 
     phi(head a) V(a) = W(a) phi(tail a)   for every arrow a,
 
-assembled as one sparse linear system over all vertices.
+assembled as one sparse linear system over all vertices.  End(v) is kept
+as a basis of morphisms inside prod_x End(v(x)); its Jacobson radical is
+the kernel of the trace form (f, g) -> sum_x tr(f(x) g(x)) (Dickson's
+criterion, valid in characteristic zero).
 """
 
 from __future__ import annotations
@@ -188,122 +191,45 @@ def _flatten(morphism: Morphism) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class EndAlgebra:
-    """Endomorphism algebra of a representation in a fixed basis.
-
-    ``structure[i][j]`` holds the coordinates of basis[i] o basis[j] in the
-    basis, and ``identity`` the coordinates of the identity endomorphism.
-    """
+    """Endomorphism algebra of a representation: a basis of End(v) as a
+    subalgebra of the block-diagonal matrix algebra prod_x End(v(x))."""
 
     rep: Representation
     basis: tuple[Morphism, ...]
-    structure: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    identity: tuple[Fraction, ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def multiply(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Product of two elements given by coordinate vectors."""
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i, xi in enumerate(xs):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(ys):
-                if yj == 0:
-                    continue
-                coeffs = self.structure[i][j]
-                f = xi * yj
-                for k in range(n):
-                    if coeffs[k] != 0:
-                        out[k] += f * coeffs[k]
-        return tuple(out)
-
 
 def end_algebra(v: Representation) -> EndAlgebra:
-    """Basis of End(v) with exact structure constants.
-
-    Coordinates of a product are read off at pivot positions of the
-    flattened basis matrix; compositions of morphisms stay in the span, so
-    this is exact.
-    """
+    """Basis of End(v), checked to be linearly independent."""
     basis = hom_space(v, v)
-    n = len(basis)
-    if n == 0:
-        # only the zero representation has a zero endomorphism ring
-        return EndAlgebra(v, (), (), ())
-    flat = [_flatten(f) for f in basis]
-    length = len(flat[0])
-    # pivot rows: coordinate positions where the basis matrix has full rank
-    basis_t = Mat.shaped(n, length, flat)
-    _, pivots, rank = rref(basis_t)
-    if rank != n:
+    if basis and rref(Mat.from_rows([_flatten(f) for f in basis])).rank != len(basis):
         raise ValueError("hom basis is not linearly independent")
-    sub = Mat.shaped(n, n, [[flat[i][p] for p in pivots] for i in range(n)])
-    # inverse of sub^T: coords(t) = inv(sub^T) . t[pivots]
-    aug = Mat.shaped(n, 2 * n, [
-        list(sub.col(i)) + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ])
-    red, piv2, _ = rref(aug)
-    inv_rows = [red.data[i][n:] for i in range(n)]
-
-    def coords_at_pivots(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((r * val for r, val in zip(inv_rows[i], values)), Fraction(0))
-            for i in range(n)
-        )
-
-    # map flat position -> (vertex, row, col) for targeted composition entries
-    positions = []
-    for x in range(v.quiver.n):
-        for r in range(v.dim[x]):
-            for c in range(v.dim[x]):
-                positions.append((x, r, c))
-    pivot_pos = [positions[p] for p in pivots]
-
-    structure = []
-    for f in basis:
-        row = []
-        for g in basis:
-            vals = []
-            for (x, r, c) in pivot_pos:
-                fm, gm = f[x], g[x]
-                vals.append(sum((fm.data[r][k] * gm.data[k][c]
-                                 for k in range(v.dim[x])), Fraction(0)))
-            row.append(coords_at_pivots(vals))
-        structure.append(tuple(row))
-
-    id_vals = [Fraction(1 if r == c else 0) for (x, r, c) in pivot_pos]
-    identity = coords_at_pivots(id_vals)
-    return EndAlgebra(v, tuple(basis), tuple(structure), identity)
-
-
-def _trace_gram(algebra: EndAlgebra) -> Mat:
-    """Gram matrix of (a, b) -> trace of left multiplication by ab."""
-    n = algebra.dim
-    left_traces = [
-        sum((algebra.structure[k][j][j] for j in range(n)), Fraction(0))
-        for k in range(n)
-    ]
-    return Mat.shaped(n, n, [
-        [
-            sum((algebra.structure[i][j][k] * left_traces[k] for k in range(n)),
-                Fraction(0))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ])
+    return EndAlgebra(v, tuple(basis))
 
 
 def radical_basis(algebra: EndAlgebra) -> list[tuple[Fraction, ...]]:
-    """Coordinate basis of the Jacobson radical via the characteristic-zero
-    trace-form criterion: the radical is the kernel of (a, b) -> trace of
-    left multiplication by ab."""
-    if algebra.dim == 0:
+    """Coordinate basis of the Jacobson radical of End(v).
+
+    End(v) is a subalgebra of prod_x End(v(x)), so in characteristic zero
+    its radical is the kernel of the Gram matrix of the trace form
+    (f, g) -> sum_x tr(f(x) g(x)) on the basis (Dickson's criterion);
+    coordinates refer to ``algebra.basis``.
+    """
+    n = algebra.dim
+    if n == 0:
         return []
-    return kernel_basis(_trace_gram(algebra))
+    flat = [_flatten(f) for f in algebra.basis]
+    # tr(f(x) g(x)) pairs the entries of f(x) with those of g(x) transposed
+    flat_t = [_flatten(tuple(m.transpose() for m in f)) for f in algebra.basis]
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = sum(
+                (a * b for a, b in zip(flat[i], flat_t[j]) if a and b), Fraction(0))
+    return kernel_basis(Mat.shaped(n, n, gram))
 
 
 def radical_dim(algebra: EndAlgebra) -> int:

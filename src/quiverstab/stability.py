@@ -38,6 +38,7 @@ __all__ = [
     "subrep_dimvectors_union",
     "check_stability",
     "find_weight",
+    "common_weight",
     "is_locally_semisimple",
 ]
 
@@ -138,10 +139,10 @@ def subrep_dimvectors(v: Representation, p: int,
     if count > budget:
         raise BudgetExceeded(f"{count} subspace tuples exceed budget {budget}")
 
-    rep_p = reduce_mod_p(v, p)
     key = (v, p)
     if key in _oracle_cache:
         return SubrepDimSet(v, (p,), _oracle_cache[key])
+    rep_p = reduce_mod_p(v, p)
 
     q = v.quiver
     per_vertex = [_subspaces(p, d) for d in v.dim]
@@ -361,11 +362,25 @@ def find_weight(problem: FeasibilityProblem) -> tuple[int, ...] | None:
     theta_frac = [sum((y * k[i] for y, k in zip(ys, null)), Fraction(0))
                   for i in range(n)]
     theta = primitive_integer_vector(theta_frac)
-    for e in problem.equalities:
-        assert _dot(theta, e) == 0
-    for s in problem.strict:
-        assert _dot(theta, s) <= -1
+    if any(_dot(theta, e) != 0 for e in problem.equalities) or any(
+            _dot(theta, s) > -1 for s in problem.strict):
+        raise RuntimeError(f"weight {theta} found by elimination violates the problem")
     return theta
+
+
+def common_weight(members: Sequence[Representation],
+                  primes: Sequence[int] = DEFAULT_PRIMES,
+                  budget: int = DEFAULT_BUDGET) -> tuple[int, ...] | None:
+    """Weight vanishing on every member's dimension vector and negative on
+    every proper nonzero subrepresentation the oracle finds, or None."""
+    equalities: list[tuple[int, ...]] = []
+    for rep in members:
+        if rep.dim not in equalities:
+            equalities.append(rep.dim)
+    strict: set[tuple[int, ...]] = set()
+    for rep in members:
+        strict.update(subrep_dimvectors_union(rep, primes, budget).proper_nonzero())
+    return find_weight(FeasibilityProblem(tuple(equalities), tuple(sorted(strict))))
 
 
 def is_locally_semisimple(summands: Sequence[Representation],
@@ -389,19 +404,11 @@ def is_locally_semisimple(summands: Sequence[Representation],
             if are_isomorphic(summands[i], summands[j], seed=seed):
                 raise ValueError(f"summands {i} and {j} are isomorphic")
 
-    equalities: list[tuple[int, ...]] = []
-    for rep in summands:
-        if rep.dim not in equalities:
-            equalities.append(rep.dim)
-    strict: set[tuple[int, ...]] = set()
-    for rep in summands:
-        strict.update(subrep_dimvectors_union(rep, primes, budget).proper_nonzero())
-
-    theta = find_weight(FeasibilityProblem(tuple(equalities), tuple(sorted(strict))))
+    theta = common_weight(summands, primes, budget)
     if theta is None:
         return False, None
     for rep in summands:
         report = check_stability(rep, theta, primes, budget)
         if not report.is_stable:  # cannot happen: constraints cover the oracle
-            raise AssertionError(f"weight verification failed on summand {rep.dim}")
+            raise RuntimeError(f"weight verification failed on summand {rep.dim}")
     return True, theta

@@ -3,8 +3,8 @@
 The pipeline: validate an orthogonal Schur sequence, classify members by
 defect, and then either
 
-* arrange the sequence as an orthogonal exceptional sequence (Ext-quiver
-  topological order) and solve the generic feasibility problem, or
+* solve the generic feasibility problem over the oracle's
+  subrepresentation dimension vectors, or
 * for all-regular sequences on a Euclidean quiver, place every member in a
   tube of the supplied catalog, extend to a maximal orthogonal sequence per
   tube, solve the tube weight system (socle rows -1, top rows +1, member
@@ -27,9 +27,8 @@ from .reps import Representation, are_isomorphic, ext1_dim, hom_dim, is_schur
 from .stability import (
     DEFAULT_BUDGET,
     DEFAULT_PRIMES,
-    FeasibilityProblem,
     check_stability,
-    find_weight,
+    common_weight,
     subrep_dimvectors,
     subrep_dimvectors_union,
 )
@@ -584,8 +583,8 @@ def synthesize_weight(seq: SchurSequence,
     """Common stability weight for a validated sequence, or None.
 
     All-regular sequences on Euclidean quivers go through the tube pipeline
-    (catalog required); everything else is arranged as an exceptional
-    sequence when possible and handed to the generic feasibility solver.
+    (catalog required); everything else goes to the generic feasibility
+    solver, which is complete relative to the oracle.
     Any returned weight has been verified on every member.
     """
     quiver = seq.quiver
@@ -612,20 +611,7 @@ def synthesize_weight(seq: SchurSequence,
             theta = (0,) * quiver.n
         sigma = shift_sigma(theta, seq.members, mode, primes, budget)
     else:
-        # arrangeability probe only: the feasibility solver below is
-        # complete relative to the oracle whether or not an exceptional
-        # arrangement exists
-        exceptional_order(seq)
-        equalities: list[tuple[int, ...]] = []
-        for rep in seq.members:
-            if rep.dim not in equalities:
-                equalities.append(rep.dim)
-        strict: set[tuple[int, ...]] = set()
-        for rep in seq.members:
-            strict.update(
-                subrep_dimvectors_union(rep, primes, budget).proper_nonzero())
-        sigma = find_weight(
-            FeasibilityProblem(tuple(equalities), tuple(sorted(strict))))
+        sigma = common_weight(seq.members, primes, budget)
         if sigma is None:
             return None
 

@@ -125,11 +125,19 @@ def test_criterion_4_semisimplicity_equivalence(d5):
             if sum(m * r.total_dim for m, r in zip(mults, reps)) <= 28:
                 return names, reps, mults
 
+    # the members are pairwise non-isomorphic Schur representations, so
+    # End/rad is a product of full matrix algebras M_m(Q), one per member
+    hom = {(a, b): hom_dim(d5.representations[a], d5.representations[b])
+           for a in DISTINCT for b in DISTINCT}
     valid_count = invalid_count = 0
     for case in range(60):
         names, reps, mults = draw(force_conflict=case % 3 == 2)
-        semisimple = radical_dim(end_algebra(
-            direct_sum(list(zip(reps, mults))))) == 0
+        rad = radical_dim(end_algebra(direct_sum(list(zip(reps, mults)))))
+        assert rad == (sum(mi * mj * hom[a, b]
+                           for a, mi in zip(names, mults)
+                           for b, mj in zip(names, mults))
+                       - sum(m * m for m in mults)), (names, mults)
+        semisimple = rad == 0
         try:
             validate_sequence(reps)
             valid = True

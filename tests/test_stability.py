@@ -1,5 +1,6 @@
 import pytest
 
+from quiverstab import stability
 from quiverstab.quiver import Quiver
 from quiverstab.reps import Representation, direct_sum, simple_rep
 from quiverstab.stability import (
@@ -68,6 +69,18 @@ class TestSubrepOracle:
     def test_budget(self, d5):
         with pytest.raises(BudgetExceeded):
             subrep_dimvectors(d5.representations["V0"], 5, budget=10)
+
+    def test_cache_hit_skips_reduction_but_not_refusal(self, d5, monkeypatch):
+        rep = d5.representations["V1"]
+        first = subrep_dimvectors(rep, 5).dimvectors
+
+        def fail(*args):
+            raise AssertionError("cache hit reduced the representation again")
+
+        monkeypatch.setattr(stability, "reduce_mod_p", fail)
+        assert subrep_dimvectors(rep, 5).dimvectors == first
+        with pytest.raises(BudgetExceeded):
+            subrep_dimvectors(rep, 5, budget=10)
 
     def test_vertex_dimension_cap(self, k2):
         big = Representation.from_dict(k2.quiver, (5, 5))
@@ -153,6 +166,19 @@ class TestFindWeight:
     def test_empty_problem_rejected(self):
         with pytest.raises(ValueError):
             find_weight(FeasibilityProblem((), ()))
+
+    @pytest.mark.parametrize("problem", [
+        FeasibilityProblem(equalities=((1, 0),), strict=()),
+        FeasibilityProblem(equalities=(), strict=((1, 0),)),
+    ])
+    def test_violating_result_is_an_internal_error(self, monkeypatch, problem):
+        # only the final scaling sees vectors of length n; the normalized
+        # elimination rows carry one more entry
+        real = stability.primitive_integer_vector
+        monkeypatch.setattr(stability, "primitive_integer_vector",
+                            lambda vec: (1, 0) if len(vec) == 2 else real(vec))
+        with pytest.raises(RuntimeError, match="violates"):
+            find_weight(problem)
 
 
 class TestLocallySemisimple:
