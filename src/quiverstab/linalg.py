@@ -45,7 +45,8 @@ def format_rational(x: Fraction) -> str:
 
 
 def _as_fraction_rows(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
+    return tuple(tuple(e if isinstance(e, Fraction) else Fraction(e) for e in row)
+                 for row in rows)
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,6 @@ class Mat:
             tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
         ))
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.data)
-
     def transpose(self) -> "Mat":
         return Mat(self.cols, self.rows,
                    tuple(tuple(self.data[i][j] for i in range(self.rows))
@@ -125,13 +116,6 @@ class Mat:
             for r1, r2 in zip(self.data, other.data)
         ))
 
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols,
-                   tuple(tuple(-a for a in row) for row in self.data))
-
     def scale(self, c) -> "Mat":
         c = Fraction(c)
         return Mat(self.rows, self.cols,
@@ -151,11 +135,6 @@ class Mat:
         if self.rows != self.cols:
             return False
         return rref(self).rank == self.rows
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
     def __str__(self) -> str:
         return "\n".join("[" + " ".join(str(a) for a in row) + "]"

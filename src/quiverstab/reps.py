@@ -9,12 +9,13 @@ the exact kernel of the commutation system
 assembled as one sparse linear system over all vertices.  End(v) is kept
 as a basis of morphisms inside prod_x End(v(x)); its Jacobson radical is
 the kernel of the trace form (f, g) -> sum_x tr(f(x) g(x)) (Dickson's
-criterion, valid in characteristic zero).
+criterion, valid in characteristic zero).  Isomorphism of an
+indecomposable v with w is decided exactly by looking for an invertible
+element of the Hom(v, w) basis (Fitting's lemma).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -206,7 +207,7 @@ def end_algebra(v: Representation) -> EndAlgebra:
     """Basis of End(v), checked to be linearly independent."""
     basis = hom_space(v, v)
     if basis and rref(Mat.from_rows([_flatten(f) for f in basis])).rank != len(basis):
-        raise ValueError("hom basis is not linearly independent")
+        raise RuntimeError("hom basis is not linearly independent")
     return EndAlgebra(v, tuple(basis))
 
 
@@ -251,54 +252,25 @@ def is_indecomposable(v: Representation) -> bool:
     return algebra.dim - radical_dim(algebra) == 1
 
 
-def _invertible_everywhere(v: Representation, morphism: Morphism) -> bool:
-    return all(m.is_invertible() for m in morphism)
+def are_isomorphic(v: Representation, w: Representation) -> bool:
+    """Decide isomorphism exactly: look for an invertible element of the
+    Hom(v, w) basis.
 
-
-def are_isomorphic(v: Representation, w: Representation, *,
-                   seed: int = 0, trials: int = 8) -> bool:
-    """Decide isomorphism by hunting an invertible element of Hom(v, w).
-
-    Random rational combinations of the Hom basis are tried first (seeded,
-    so verdicts are reproducible); a deterministic univariate evaluation of
-    the product-of-determinants polynomial along the moment curve settles
-    the remaining cases.
+    When v is indecomposable this is exact (Fitting's lemma): an isomorphism
+    phi makes Hom(v, w) = phi End(v), whose non-invertible elements form the
+    proper subspace phi rad End(v), so no basis lies inside it.  Raises
+    ValueError when no basis element is invertible and v is decomposable,
+    where the test would not be conclusive.
     """
     _check_same_quiver(v, w)
     if v.dim != w.dim:
         return False
     if v.is_zero():
         return True
-    basis = hom_space(v, w)
-    h = len(basis)
-    if h == 0:
-        return False
-    if h == 1:
-        return _invertible_everywhere(v, basis[0])
-
-    def combine(coeffs: Sequence[Fraction]) -> Morphism:
-        mats = []
-        for x in range(v.quiver.n):
-            acc = Mat.zeros(w.dim[x], v.dim[x])
-            for c, f in zip(coeffs, basis):
-                if c != 0:
-                    acc = acc + f[x].scale(c)
-            mats.append(acc)
-        return tuple(mats)
-
-    rng = random.Random(seed)
-    for _ in range(trials):
-        coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(h)]
-        if _invertible_everywhere(v, combine(coeffs)):
-            return True
-    # moment-curve fallback: coefficients (1, t, t^2, ...) give a univariate
-    # polynomial of degree <= (h-1) * total_dim; enough sample points decide
-    # whether it vanishes identically
-    degree = (h - 1) * w.total_dim
-    for t in range(1, trials + degree + 2):
-        coeffs = [Fraction(t) ** k for k in range(h)]
-        if _invertible_everywhere(v, combine(coeffs)):
-            return True
+    if any(all(m.is_invertible() for m in f) for f in hom_space(v, w)):
+        return True
+    if not is_indecomposable(v):
+        raise ValueError("isomorphism test needs an indecomposable first argument")
     return False
 
 

@@ -385,8 +385,7 @@ def common_weight(members: Sequence[Representation],
 
 def is_locally_semisimple(summands: Sequence[Representation],
                           primes: Sequence[int] = DEFAULT_PRIMES,
-                          budget: int = DEFAULT_BUDGET,
-                          seed: int = 0) -> tuple[bool, tuple[int, ...] | None]:
+                          budget: int = DEFAULT_BUDGET) -> tuple[bool, tuple[int, ...] | None]:
     """Search a common stability weight for the given indecomposables.
 
     The summands must be pairwise non-isomorphic indecomposables (checked).
@@ -401,7 +400,7 @@ def is_locally_semisimple(summands: Sequence[Representation],
             raise ValueError(f"summand {i} is not indecomposable")
     for i in range(len(summands)):
         for j in range(i + 1, len(summands)):
-            if are_isomorphic(summands[i], summands[j], seed=seed):
+            if are_isomorphic(summands[i], summands[j]):
                 raise ValueError(f"summands {i} and {j} are isomorphic")
 
     theta = common_weight(summands, primes, budget)

@@ -120,9 +120,7 @@ class SchurSequence:
         return all(c == REGULAR for c in self.classes)
 
 
-def validate_sequence(members: Sequence[Representation],
-                      quiver_class: QuiverClass | None = None,
-                      seed: int = 0) -> SchurSequence:
+def validate_sequence(members: Sequence[Representation]) -> SchurSequence:
     """Check the orthogonal Schur sequence hypotheses and classify members.
 
     Raises NotSchurError, NotOrthogonalError or IsomorphicMembersError
@@ -145,13 +143,13 @@ def validate_sequence(members: Sequence[Representation],
             backward = hom_dim(members[j], members[i])
             if forward or backward:
                 if (members[i].dim == members[j].dim and forward and backward
-                        and are_isomorphic(members[i], members[j], seed=seed)):
+                        and are_isomorphic(members[i], members[j])):
                     raise IsomorphicMembersError(i, j)
                 if forward:
                     raise NotOrthogonalError(i, j)
                 raise NotOrthogonalError(j, i)
 
-    qc = quiver_class if quiver_class is not None else classify(quiver)
+    qc = classify(quiver)
     if qc.is_euclidean:
         assert qc.delta is not None
         classes = []
@@ -250,15 +248,16 @@ class TubePosition:
         return frozenset((self.top + k) % period for k in range(self.length))
 
 
-def validate_catalog(cat: TubeCatalog, quiver: Quiver,
-                     primes: Sequence[int] = (5,),
-                     budget: int = DEFAULT_BUDGET) -> None:
+_CATALOG_PRIME = 5
+
+
+def validate_catalog(cat: TubeCatalog, quiver: Quiver) -> None:
     """Check tube catalog coherence against the quiver.
 
     Per tube: every simple has defect zero and no proper nonzero defect-zero
-    subrepresentation in the oracle (so it is stable among regulars), the
-    dimension vectors sum to the radical vector, and the listed order agrees
-    with the Coxeter transformation.
+    subrepresentation in the oracle at p = 5 (so it is stable among
+    regulars), the dimension vectors sum to the radical vector, and the
+    listed order agrees with the Coxeter transformation.
     """
     from .quiver import apply_matrix, coxeter_matrix
 
@@ -277,12 +276,11 @@ def validate_catalog(cat: TubeCatalog, quiver: Quiver,
                 raise ValueError(
                     f"tube {t}: translate of {tube.names[k]} does not match "
                     f"{tube.names[(k + 1) % tube.period]}")
-            for p in primes:
-                for sub in subrep_dimvectors(simple, p, budget).proper_nonzero():
-                    if defect(quiver, delta, sub) == 0:
-                        raise ValueError(
-                            f"tube {t} simple {tube.names[k]} has a proper "
-                            f"regular subrepresentation: not regular simple")
+            for sub in subrep_dimvectors(simple, _CATALOG_PRIME).proper_nonzero():
+                if defect(quiver, delta, sub) == 0:
+                    raise ValueError(
+                        f"tube {t} simple {tube.names[k]} has a proper "
+                        f"regular subrepresentation: not regular simple")
             total = tuple(a + b for a, b in zip(total, simple.dim))
         if total != delta:
             raise ValueError(f"tube {t} dimension vectors do not sum to delta")

@@ -1,14 +1,22 @@
 import json
+from importlib import resources
 
 import pytest
 
+from quiverstab import cli, reps, synthesis
 from quiverstab.cli import main
+from quiverstab.jsonio import InputError, parse_bundle
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def d5_bundle_object():
+    text = resources.files("quiverstab.data").joinpath("d5tilde.json").read_text("utf-8")
+    return json.loads(text)
 
 
 class TestClassify:
@@ -109,6 +117,25 @@ class TestSynthesize:
         assert code == 2
         assert "unknown sequence" in err
 
+    def test_one_verification_per_member(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(args[0].dim)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, synthesis):
+            monkeypatch.setattr(module, "check_stability",
+                                counting(module.check_stability))
+        code, out, _ = run(capsys, "synthesize", "--catalog", "D5tilde",
+                           "--sequence", "main", "--format", "json")
+        assert code == 0
+        assert len(calls) == 6
+        payload = json.loads(out)
+        assert [v["verdict"] for v in payload["verification"]] == ["stable"] * 6
+
 
 class TestEndcheck:
     def test_semisimple(self, capsys):
@@ -190,6 +217,46 @@ class TestInputsAndErrors:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "classify", "--input", str(tmp_path / "no.json"))
         assert code == 2
+
+    def test_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xe9"}')
+        code, _, err = run(capsys, "classify", "--input", str(path))
+        assert code == 2
+        assert "UTF-8" in err
+
+    def test_swapped_tube_rejected_at_load(self, capsys, tmp_path):
+        obj = d5_bundle_object()
+        simples = obj["tubes"][0]["simples"]
+        simples[0], simples[1] = simples[1], simples[0]
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "synthesize", "--input", str(path),
+                           "--sequence", "main")
+        assert code == 2
+        assert "translate of" in err
+
+    def test_bad_period_is_input_error(self, capsys, tmp_path):
+        obj = d5_bundle_object()
+        obj["tubes"][0]["period"] = 2
+        with pytest.raises(InputError, match="period"):
+            parse_bundle(obj)
+        path = tmp_path / "period.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "classify", "--input", str(path))
+        assert code == 2
+        assert "period" in err
+
+    def test_internal_fault_is_not_input_error(self, monkeypatch):
+        original = reps.hom_space
+
+        def duplicated(v, w):
+            basis = original(v, w)
+            return basis + basis[:1]
+
+        monkeypatch.setattr(reps, "hom_space", duplicated)
+        with pytest.raises(RuntimeError, match="not linearly independent"):
+            main(["endcheck", "--catalog", "D5tilde", "--reps", "V0"])
 
     def test_nonprime_rejected(self, capsys):
         code, _, err = run(capsys, "subreps", "--catalog", "K3", "--reps", "V",

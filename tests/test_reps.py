@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from quiverstab import catalog
 from quiverstab.linalg import Mat, rref
 from quiverstab.quiver import Quiver, euler_form
 from quiverstab.reps import (
@@ -294,6 +297,67 @@ class TestIsomorphism:
     def test_aliases(self, d5):
         assert are_isomorphic(d5.representations["E2"], d5.representations["V2"])
         assert are_isomorphic(d5.representations["Y1"], d5.representations["V4"])
+
+    @pytest.mark.parametrize("name", catalog.CATALOG_NAMES)
+    def test_base_change_over_catalog(self, name):
+        bundle = catalog.load(name)
+        aliases = CATALOG_ALIASES.get(name, ())
+        members = {n: r for n, r in bundle.representations.items()
+                   if is_indecomposable(r)}
+        rng = random.Random(0)
+        copies = {n: unimodular_conjugate(r, rng) for n, r in members.items()}
+        for a, v in members.items():
+            for b, w in copies.items():
+                expected = a == b or {a, b} in aliases
+                assert are_isomorphic(v, w) == expected, (a, b)
+
+    def test_nonisomorphic_with_one_dimensional_hom(self, k3):
+        q = k3.quiver
+        v = Representation.from_dict(q, (2, 2), {
+            "a1": [[0, -1], [0, 0]], "a2": [[0, 1], [1, 1]], "a3": [[2, 1], [0, 0]]})
+        w = Representation.from_dict(q, (2, 2), {
+            "a1": [[2, 0], [-1, 0]], "a2": [[1, 1], [-1, 0]], "a3": [[0, 0], [2, 0]]})
+        assert is_indecomposable(v) and is_indecomposable(w)
+        assert hom_dim(v, w) == 1
+        assert not are_isomorphic(v, w)
+        assert not are_isomorphic(w, v)
+
+    def test_decomposable_without_invertible_basis_element_rejected(self, a3):
+        # End(S1^3) = M_3(Q): its elementary-matrix basis holds no unit, so
+        # the Hom basis cannot decide isomorphism for a decomposable source
+        s1_cubed = direct_sum([(a3.representations["S1"], 3)])
+        with pytest.raises(ValueError, match="indecomposable"):
+            are_isomorphic(s1_cubed, s1_cubed)
+
+
+CATALOG_ALIASES = {"D5tilde": ({"E2", "V2"}, {"Y1", "V4"}, {"Y2", "V5"})}
+
+
+def unimodular_pair(d, rng):
+    """An integer d x d matrix of determinant +-1 and its inverse, built from
+    random elementary row operations and one random sign."""
+    g = [[int(i == j) for j in range(d)] for i in range(d)]
+    g_inv = [row[:] for row in g]
+    for _ in range(3 * d if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # g <- (1 + c e_ij) g  and  g_inv <- g_inv (1 - c e_ij)
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+        for row in g_inv:
+            row[j] -= c * row[i]
+    if d and rng.random() < 0.5:
+        g[0] = [-a for a in g[0]]
+        for row in g_inv:
+            row[0] = -row[0]
+    return Mat.shaped(d, d, g), Mat.shaped(d, d, g_inv)
+
+
+def unimodular_conjugate(v, rng):
+    """A copy of v in a random integer basis of determinant +-1 per vertex."""
+    changes = [unimodular_pair(d, rng) for d in v.dim]
+    mats = tuple(changes[a.head][0] @ m @ changes[a.tail][1]
+                 for a, m in zip(v.quiver.arrows, v.matrices))
+    return Representation(v.quiver, v.dim, mats)
 
 
 class TestDirectSum:
