@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prime", type=int, action="append", metavar="P",
                        help="oracle prime, repeatable (default: 5 7 11)")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="subspace enumeration budget")
+                       help="subspaces the oracle may visit")
         if reps:
             p.add_argument("--reps", required=True, metavar="A,B,...",
                            help="comma separated representation names"

@@ -58,9 +58,22 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{context} must be a JSON object")
+    return value
+
+
+def _objects(value, context: str) -> list[dict]:
+    if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
+        raise InputError(f"{context} must be a list of JSON objects")
+    return value
+
+
 def parse_quiver(obj: dict) -> Quiver:
+    obj = _object(obj, "quiver")
     vertices = _require(obj, "vertices", "quiver")
-    arrows_raw = _require(obj, "arrows", "quiver")
+    arrows_raw = _objects(_require(obj, "arrows", "quiver"), "quiver: \"arrows\"")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise InputError("quiver: \"vertices\" must be a list of strings")
     arrows = []
@@ -84,7 +97,9 @@ def _parse_entry(value) -> Fraction:
 
 
 def parse_representation(quiver: Quiver, obj: dict, name: str = "?") -> Representation:
-    dim_raw = _require(obj, "dim", f"representation {name}")
+    context = f"representation {name}"
+    obj = _object(obj, context)
+    dim_raw = _object(_require(obj, "dim", context), f"{context}: \"dim\"")
     dim = [0] * quiver.n
     for vertex, d in dim_raw.items():
         if vertex not in quiver.vertex_index:
@@ -93,7 +108,8 @@ def parse_representation(quiver: Quiver, obj: dict, name: str = "?") -> Represen
             raise InputError(f"representation {name}: bad dimension at {vertex!r}")
         dim[quiver.vertex_index[vertex]] = d
     matrices = {}
-    for arrow_name, rows in obj.get("matrices", {}).items():
+    for arrow_name, rows in _object(obj.get("matrices", {}),
+                                    f"{context}: \"matrices\"").items():
         try:
             matrices[arrow_name] = [[_parse_entry(e) for e in row] for row in rows]
         except ValueError as exc:
@@ -142,7 +158,8 @@ class Bundle:
 def parse_bundle(obj: dict) -> Bundle:
     quiver = parse_quiver(_require(obj, "quiver", "input"))
     reps = {}
-    for name, rep_obj in obj.get("representations", {}).items():
+    for name, rep_obj in _object(obj.get("representations", {}),
+                                 "\"representations\"").items():
         reps[name] = parse_representation(quiver, rep_obj, name)
 
     # "tubes": [] is meaningful (a Euclidean quiver whose tubes are all
@@ -150,7 +167,7 @@ def parse_bundle(obj: dict) -> Bundle:
     tubes = None
     if obj.get("tubes") is not None:
         tube_list = []
-        for t in obj["tubes"]:
+        for t in _objects(obj["tubes"], "\"tubes\""):
             simple_names = tuple(_require(t, "simples", "tube"))
             missing = [s for s in simple_names if s not in reps]
             if missing:
@@ -169,7 +186,7 @@ def parse_bundle(obj: dict) -> Bundle:
             raise InputError(f"tube catalog: {exc}") from exc
 
     sequences = {}
-    for name, members in obj.get("sequences", {}).items():
+    for name, members in _object(obj.get("sequences", {}), "\"sequences\"").items():
         missing = [m for m in members if m not in reps]
         if missing:
             raise InputError(f"sequence {name!r} references unknown "

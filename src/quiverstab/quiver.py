@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Sequence
 
@@ -62,15 +62,17 @@ class Quiver:
         for a in self.arrows:
             if not (0 <= a.tail < n and 0 <= a.head < n):
                 raise ValueError(f"arrow {a.name} references a missing vertex")
-        self._check_acyclic()
+        self.topological_order  # raises on an oriented cycle
         self._check_connected()
 
-    def _check_acyclic(self) -> None:
+    @cached_property
+    def topological_order(self) -> tuple[int, ...]:
+        """Vertex indices ordered so that every arrow's tail precedes its head."""
         deps: dict[int, set[int]] = {v: set() for v in range(len(self.vertices))}
         for a in self.arrows:
             deps[a.head].add(a.tail)
         try:
-            tuple(TopologicalSorter(deps).static_order())
+            return tuple(TopologicalSorter(deps).static_order())
         except CycleError as exc:
             raise ValueError("quiver has an oriented cycle") from exc
 
@@ -193,7 +195,7 @@ def _semidefinite_profile(b: Mat) -> tuple[bool, int]:
     return True, rank
 
 
-@lru_cache(maxsize=None)
+@cache
 def classify(q: Quiver) -> QuiverClass:
     """Classify by definiteness of the symmetrized Euler matrix.
 
@@ -241,7 +243,7 @@ def defect_weight(q: Quiver, delta: Sequence[int]) -> Weight:
     return tuple(euler_form(q, delta, q.unit_vector(x)) for x in range(q.n))
 
 
-@lru_cache(maxsize=None)
+@cache
 def coxeter_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:
     """Integer matrix Phi with <beta, Phi alpha> = -<alpha, beta> for all
     alpha, beta; realizes the Auslander-Reiten translate on dimension

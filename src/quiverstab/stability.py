@@ -3,10 +3,11 @@
 A weight theta is tested with King's criterion: theta(dim V) = 0 and
 theta(dim V') < 0 for every proper nonzero subrepresentation V'.  The
 quantifier over subrepresentations is decided by an exhaustive oracle over
-small finite fields: all tuples of arrow-invariant subspaces of the mod-p
-reduction are enumerated and their dimension vectors collected, with a
-union over several primes.  Verdicts are therefore relative to the primes
-used, which every report records.
+small finite fields: every subrepresentation of the mod-p reduction is
+generated, vertex by vertex in topological order, and its dimension vector
+collected, with a union over several primes.  The budget counts subspaces
+visited.  Verdicts are relative to the primes used, which every report
+records.
 
 Weight search is exact rational linear feasibility: equalities are removed
 by substituting a kernel basis and the strict inequalities (normalized to
@@ -18,8 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .linalg import Mat, kernel_basis, primitive_integer_vector
 from .reps import Representation, are_isomorphic, is_indecomposable, reduce_mod_p
@@ -44,7 +44,6 @@ __all__ = [
 
 DEFAULT_PRIMES: tuple[int, ...] = (5, 7, 11)
 DEFAULT_BUDGET = 10_000_000
-_MAX_VERTEX_DIM = 4
 
 STABLE = "stable"
 SEMISTABLE = "semistable-not-stable"
@@ -52,24 +51,25 @@ UNSTABLE = "unstable"
 
 
 class BudgetExceeded(Exception):
-    """The subspace enumeration would be too large."""
+    """The oracle visited more subspaces than its budget allows."""
 
 
-@lru_cache(maxsize=None)
-def _subspaces(p: int, d: int) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
-    """All subspaces of F_p^d as (echelon row basis, pivot columns) pairs.
+def _subspaces(p: int, d: int,
+               coords: Sequence[int] | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every subspace of F_p^d spanned by unit vectors e_c, c in coords
+    (default: all of F_p^d), exactly once, as its reduced echelon row basis.
 
-    Echelon representatives are unique per subspace, so this enumerates each
-    subspace exactly once.  Cached per (p, d).
+    A generator, so that a caller stopping early never builds the rest.
     """
-    out = [((), ())]  # the zero subspace
-    for k in range(1, d + 1):
-        for pivots in itertools.combinations(range(d), k):
+    coords = range(d) if coords is None else coords
+    yield ()  # the zero subspace
+    for k in range(1, len(coords) + 1):
+        for pivots in itertools.combinations(coords, k):
             free_positions = [
                 (i, c)
                 for i in range(k)
-                for c in range(pivots[i] + 1, d)
-                if c not in pivots
+                for c in coords
+                if c > pivots[i] and c not in pivots
             ]
             for values in itertools.product(range(p), repeat=len(free_positions)):
                 rows = [[0] * d for _ in range(k)]
@@ -77,32 +77,25 @@ def _subspaces(p: int, d: int) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple
                     rows[i][pivots[i]] = 1
                 for (i, c), val in zip(free_positions, values):
                     rows[i][c] = val
-                out.append((tuple(tuple(r) for r in rows), pivots))
-    return tuple(out)
+                yield tuple(tuple(r) for r in rows)
 
 
-def _contains(basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...],
-              vec: Sequence[int], p: int) -> bool:
-    """True when vec lies in the row span of an echelon basis over F_p."""
-    v = list(vec)
-    for row, piv in zip(basis, pivots):
-        c = v[piv]
-        if c:
-            for i in range(len(v)):
-                v[i] = (v[i] - c * row[i]) % p
-    return not any(v)
-
-
-def _image_rows(matrix: tuple[tuple[int, ...], ...],
-                basis: tuple[tuple[int, ...], ...], p: int) -> list[tuple[int, ...]]:
-    """Images of subspace basis vectors under a mod-p arrow matrix."""
-    images = []
-    for v in basis:
-        w = tuple(sum(mrow[c] * v[c] for c in range(len(v))) % p
-                  for mrow in matrix)
-        if any(w):
-            images.append(w)
-    return images
+def _echelon(rows: Sequence[tuple[int, ...]],
+             p: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Echelon basis of the span of rows over F_p, with its pivot columns."""
+    basis: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    for v in rows:
+        for b, c in zip(basis, pivots):
+            f = v[c]
+            if f:
+                v = tuple((x - f * y) % p for x, y in zip(v, b))
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            basis.append(tuple(x * inv % p for x in v))
+            pivots.append(lead)
+    return tuple(basis), pivots
 
 
 @dataclass(frozen=True)
@@ -119,65 +112,43 @@ class SubrepDimSet:
         return sorted(v for v in self.dimvectors if v not in (zero, full))
 
 
-_oracle_cache: dict[tuple[Representation, int], frozenset[tuple[int, ...]]] = {}
-
-
 def subrep_dimvectors(v: Representation, p: int,
                       budget: int = DEFAULT_BUDGET) -> SubrepDimSet:
     """Exact set of dimension vectors of subrepresentations of v mod p.
 
-    Enumerates every tuple of subspaces, vertex by vertex, pruning as soon
-    as some arrow fails to map a tail subspace into the head subspace.
-    Raises BadPrime (via the reduction) or BudgetExceeded.
+    Vertices are assigned in topological order.  At each vertex the images
+    of the tail subspaces already chosen span a subspace U, and only the
+    subspaces containing U are generated: U plus a subspace of the
+    coordinates off U's pivots.  Every complete assignment is therefore a
+    subrepresentation, and every partial one extends to some, so at most
+    (number of vertices) x (number of subrepresentations mod p) subspaces
+    are visited.  Raises BadPrime (via the reduction), or BudgetExceeded as
+    soon as more than ``budget`` subspaces have been visited.
     """
-    if any(d > _MAX_VERTEX_DIM for d in v.dim):
-        raise BudgetExceeded(
-            f"vertex dimension exceeds {_MAX_VERTEX_DIM}; enumeration refused")
-    count = 1
-    for d in v.dim:
-        count *= len(_subspaces(p, d))
-    if count > budget:
-        raise BudgetExceeded(f"{count} subspace tuples exceed budget {budget}")
-
-    key = (v, p)
-    if key in _oracle_cache:
-        return SubrepDimSet(v, (p,), _oracle_cache[key])
     rep_p = reduce_mod_p(v, p)
-
     q = v.quiver
-    per_vertex = [_subspaces(p, d) for d in v.dim]
-    # arrows checked once both endpoints are assigned, keyed by the later one
-    checks_at: list[list[int]] = [[] for _ in range(q.n)]
-    for ai, a in enumerate(q.arrows):
-        checks_at[max(a.tail, a.head)].append(ai)
-
+    arrows = list(zip(q.arrows, rep_p.matrices))
+    chosen: list[tuple[tuple[int, ...], ...]] = [()] * q.n
     found: set[tuple[int, ...]] = set()
-    chosen: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [None] * q.n  # type: ignore
+    visits = itertools.count(1)
 
-    def assign(x: int) -> None:
-        if x == q.n:
-            found.add(tuple(len(chosen[i][0]) for i in range(q.n)))
+    def assign(i: int) -> None:
+        if i == q.n:
+            found.add(tuple(len(b) for b in chosen))
             return
-        for sub in per_vertex[x]:
-            chosen[x] = sub
-            ok = True
-            for ai in checks_at[x]:
-                a = q.arrows[ai]
-                tail_basis = chosen[a.tail][0]
-                head_basis, head_pivots = chosen[a.head]
-                for img in _image_rows(rep_p.matrices[ai], tail_basis, p):
-                    if not _contains(head_basis, head_pivots, img, p):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                assign(x + 1)
+        x = q.topological_order[i]
+        images = [tuple(sum(r * c for r, c in zip(row, u)) % p for row in m)
+                  for a, m in arrows if a.head == x for u in chosen[a.tail]]
+        span, pivots = _echelon(images, p)
+        free = [c for c in range(v.dim[x]) if c not in pivots]
+        for sub in _subspaces(p, v.dim[x], free):
+            if next(visits) > budget:
+                raise BudgetExceeded(f"budget of {budget} subspaces exceeded")
+            chosen[x] = span + sub
+            assign(i + 1)
 
     assign(0)
-    result = frozenset(found)
-    _oracle_cache[key] = result
-    return SubrepDimSet(v, (p,), result)
+    return SubrepDimSet(v, (p,), frozenset(found))
 
 
 def subrep_dimvectors_union(v: Representation, primes: Sequence[int],

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .linalg import InconsistentSystem, Mat, rref, solve_linear
 from .quiver import Quiver, QuiverClass, classify, defect, defect_weight
-from .reps import Representation, are_isomorphic, ext1_dim, hom_dim, is_schur
+from .reps import BadPrime, Representation, are_isomorphic, ext1_dim, hom_dim, is_schur
 from .stability import (
     DEFAULT_BUDGET,
     DEFAULT_PRIMES,
@@ -248,16 +248,14 @@ class TubePosition:
         return frozenset((self.top + k) % period for k in range(self.length))
 
 
-_CATALOG_PRIME = 5
-
-
 def validate_catalog(cat: TubeCatalog, quiver: Quiver) -> None:
     """Check tube catalog coherence against the quiver.
 
     Per tube: every simple has defect zero and no proper nonzero defect-zero
-    subrepresentation in the oracle at p = 5 (so it is stable among
-    regulars), the dimension vectors sum to the radical vector, and the
-    listed order agrees with the Coxeter transformation.
+    subrepresentation in the oracle at the first default prime dividing no
+    denominator of its matrices (so it is stable among regulars), the
+    dimension vectors sum to the radical vector, and the listed order agrees
+    with the Coxeter transformation.
     """
     from .quiver import apply_matrix, coxeter_matrix
 
@@ -276,7 +274,16 @@ def validate_catalog(cat: TubeCatalog, quiver: Quiver) -> None:
                 raise ValueError(
                     f"tube {t}: translate of {tube.names[k]} does not match "
                     f"{tube.names[(k + 1) % tube.period]}")
-            for sub in subrep_dimvectors(simple, _CATALOG_PRIME).proper_nonzero():
+            for p in DEFAULT_PRIMES:
+                try:
+                    subs = subrep_dimvectors(simple, p).proper_nonzero()
+                    break
+                except BadPrime:
+                    continue
+            else:
+                raise ValueError(f"tube {t} simple {tube.names[k]}: every default "
+                                 f"prime {DEFAULT_PRIMES} divides a denominator")
+            for sub in subs:
                 if defect(quiver, delta, sub) == 0:
                     raise ValueError(
                         f"tube {t} simple {tube.names[k]} has a proper "

@@ -247,6 +247,52 @@ class TestInputsAndErrors:
         assert code == 2
         assert "period" in err
 
+    def test_catalog_check_skips_prime_dividing_a_denominator(self, capsys, tmp_path):
+        obj = d5_bundle_object()
+        obj["representations"]["E1"]["matrices"]["a1"] = [["1/5"]]
+        path = tmp_path / "fifth.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "classify", "--input", str(path))
+        assert code == 0
+        assert "Euclidean" in out
+        code, out, _ = run(capsys, "synthesize", "--input", str(path),
+                           "--sequence", "main", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["weight"] == [3, -1, -2, 2, 0, -1]
+
+    def test_catalog_check_needs_a_usable_prime(self):
+        obj = d5_bundle_object()
+        obj["representations"]["E1"]["matrices"]["a1"] = [["1/385"]]
+        with pytest.raises(InputError, match="divides a denominator"):
+            parse_bundle(obj)
+
+    @pytest.mark.parametrize("section", ["representations", "dim"])
+    def test_section_not_an_object(self, capsys, tmp_path, section):
+        obj = d5_bundle_object()
+        if section == "representations":
+            obj["representations"] = []
+        else:
+            obj["representations"]["E2"]["dim"] = [0, 0, 0, 0, 1, 0]
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "classify", "--input", str(path))
+        assert code == 2
+        assert "input error" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.update(sequences=["V0"]),
+        lambda obj: obj.update(tubes={"period": 3}),
+        lambda obj: obj.update(tubes=["E1"]),
+        lambda obj: obj["quiver"].update(arrows={"id": "a1"}),
+        lambda obj: obj["representations"].update(E2=[1]),
+        lambda obj: obj["representations"]["E2"].update(matrices=[]),
+    ], ids=["sequences", "tubes", "tube", "arrows", "representation", "matrices"])
+    def test_malformed_sections_are_input_errors(self, edit):
+        obj = d5_bundle_object()
+        edit(obj)
+        with pytest.raises(InputError, match="JSON object"):
+            parse_bundle(obj)
+
     def test_internal_fault_is_not_input_error(self, monkeypatch):
         original = reps.hom_space
 

@@ -26,10 +26,10 @@ class TestSubspaceEnumeration:
         (5, 2, 8),
     ])
     def test_counts(self, p, d, count):
-        assert len(_subspaces(p, d)) == count
+        assert len(list(_subspaces(p, d))) == count
 
     def test_echelon_bases_unique(self):
-        subs = _subspaces(3, 3)
+        subs = list(_subspaces(3, 3))
         assert len({s for s in subs}) == len(subs)
 
 
@@ -70,22 +70,21 @@ class TestSubrepOracle:
         with pytest.raises(BudgetExceeded):
             subrep_dimvectors(d5.representations["V0"], 5, budget=10)
 
-    def test_cache_hit_skips_reduction_but_not_refusal(self, d5, monkeypatch):
-        rep = d5.representations["V1"]
-        first = subrep_dimvectors(rep, 5).dimvectors
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_large_vertex_dimension_decided(self, k2, p):
+        # a1 = I and a2 = the nilpotent shift: U1 <= U2 is the only constraint
+        # on dimensions, and every flag of shift-invariant subspaces meets it
+        shift = [[1 if c == r + 1 else 0 for c in range(5)] for r in range(5)]
+        identity = [[int(r == c) for c in range(5)] for r in range(5)]
+        big = Representation.from_dict(k2.quiver, (5, 5),
+                                       {"a1": identity, "a2": shift})
+        found = subrep_dimvectors(big, p).dimvectors
+        assert found == {(k, m) for m in range(6) for k in range(m + 1)}
 
-        def fail(*args):
-            raise AssertionError("cache hit reduced the representation again")
-
-        monkeypatch.setattr(stability, "reduce_mod_p", fail)
-        assert subrep_dimvectors(rep, 5).dimvectors == first
-        with pytest.raises(BudgetExceeded):
-            subrep_dimvectors(rep, 5, budget=10)
-
-    def test_vertex_dimension_cap(self, k2):
-        big = Representation.from_dict(k2.quiver, (5, 5))
-        with pytest.raises(BudgetExceeded, match="vertex dimension"):
-            subrep_dimvectors(big, 5)
+    def test_refusal_counts_visits(self, k2):
+        zero = Representation.from_dict(k2.quiver, (5, 5))
+        with pytest.raises(BudgetExceeded, match="10000 subspaces"):
+            subrep_dimvectors(zero, 5, budget=10_000)
 
 
 class TestCheckStability:
