@@ -309,6 +309,8 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.budget < 1:
+            raise InputError(f"--budget {args.budget}: must be at least 1")
         return _COMMANDS[args.command](args)
     except (BadPrime, BudgetExceeded) as exc:
         print(f"resource error: {exc}", file=sys.stderr)

@@ -70,12 +70,16 @@ def _objects(value, context: str) -> list[dict]:
     return value
 
 
+def _strings(value, context: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InputError(f"{context} must be a list of strings")
+    return value
+
+
 def parse_quiver(obj: dict) -> Quiver:
     obj = _object(obj, "quiver")
-    vertices = _require(obj, "vertices", "quiver")
+    vertices = _strings(_require(obj, "vertices", "quiver"), "quiver: \"vertices\"")
     arrows_raw = _objects(_require(obj, "arrows", "quiver"), "quiver: \"arrows\"")
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise InputError("quiver: \"vertices\" must be a list of strings")
     arrows = []
     for a in arrows_raw:
         arrows.append((str(_require(a, "id", "arrow")),
@@ -104,12 +108,16 @@ def parse_representation(quiver: Quiver, obj: dict, name: str = "?") -> Represen
     for vertex, d in dim_raw.items():
         if vertex not in quiver.vertex_index:
             raise InputError(f"representation {name}: unknown vertex {vertex!r}")
-        if not isinstance(d, int) or d < 0:
+        # type(), not isinstance(): JSON true is a bool, which is an int
+        if type(d) is not int or d < 0:
             raise InputError(f"representation {name}: bad dimension at {vertex!r}")
         dim[quiver.vertex_index[vertex]] = d
     matrices = {}
     for arrow_name, rows in _object(obj.get("matrices", {}),
                                     f"{context}: \"matrices\"").items():
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise InputError(f"{context}, arrow {arrow_name}: a matrix must be "
+                             f"a list of rows, each a list")
         try:
             matrices[arrow_name] = [[_parse_entry(e) for e in row] for row in rows]
         except ValueError as exc:
@@ -168,13 +176,17 @@ def parse_bundle(obj: dict) -> Bundle:
     if obj.get("tubes") is not None:
         tube_list = []
         for t in _objects(obj["tubes"], "\"tubes\""):
-            simple_names = tuple(_require(t, "simples", "tube"))
+            simple_names = tuple(_strings(_require(t, "simples", "tube"),
+                                          "tube: \"simples\""))
             missing = [s for s in simple_names if s not in reps]
             if missing:
                 raise InputError(f"tube references unknown representations {missing}")
             period = _require(t, "period", "tube")
+            if type(period) is not int:
+                raise InputError(f"tube {simple_names}: period {period!r} is "
+                                 f"not an integer")
             try:
-                tube_list.append(Tube(int(period),
+                tube_list.append(Tube(period,
                                       tuple(reps[s] for s in simple_names),
                                       simple_names))
             except ValueError as exc:
@@ -187,6 +199,7 @@ def parse_bundle(obj: dict) -> Bundle:
 
     sequences = {}
     for name, members in _object(obj.get("sequences", {}), "\"sequences\"").items():
+        _strings(members, f"sequence {name!r}")
         missing = [m for m in members if m not in reps]
         if missing:
             raise InputError(f"sequence {name!r} references unknown "

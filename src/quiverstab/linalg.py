@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with `fractions.Fraction`, so results are exact: no
-rounding ever happens and row reduction is deterministic (first nonzero
-pivot in column order).  Matrices are immutable; all functions are pure.
+rounding ever happens.  All elimination goes through one sparse row
+reduction (`_reduce`) whose work follows the nonzero entries; `rref`,
+`kernel_basis`, `solve_linear` and `sparse_kernel_basis` read its reduced
+echelon basis, which equals first-nonzero pivoting in column order.
+Matrices are immutable; all functions are pure.
 """
 
 from __future__ import annotations
@@ -147,47 +150,79 @@ class RrefResult(NamedTuple):
     rank: int
 
 
+def _subtract(target: dict[int, Fraction], factor: Fraction,
+              row: dict[int, Fraction]) -> None:
+    """target -= factor * row, dropping entries that cancel."""
+    for c, x in row.items():
+        y = target.get(c, 0) - factor * x
+        if y:
+            target[c] = y
+        else:
+            del target[c]
+
+
+def _reduce(rows: Iterable[dict[int, object]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced echelon basis of the span of sparse rows, keyed by pivot column.
+
+    Rows are {column: value} dicts; entries are coerced to Fraction and zeros
+    are dropped, and the input is not mutated.  Each row is reduced by the
+    pivot rows found so far; a nonzero remainder is scaled to a leading 1 and
+    its pivot column is cleared from the other pivot rows.  The reduced
+    echelon form of a row space is unique, so sorting the result by pivot
+    gives the dense first-nonzero-pivot RREF, and fill-in never couples
+    columns that no row couples.
+    """
+    basis: dict[int, dict[int, Fraction]] = {}
+    for raw in rows:
+        row = {c: v if isinstance(v, Fraction) else Fraction(v)
+               for c, v in raw.items() if v}
+        # pivot rows are zero at every other pivot, so one pass suffices
+        for p in [c for c in row if c in basis]:
+            _subtract(row, row[p], basis[p])
+        if not row:
+            continue
+        pivot = min(row)
+        inv = 1 / row[pivot]
+        row = {c: x * inv for c, x in row.items()}
+        for other in basis.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        basis[pivot] = row
+    return basis
+
+
+def _kernel(basis: dict[int, dict[int, Fraction]],
+            ncols: int) -> list[tuple[Fraction, ...]]:
+    """Null space read off a reduced basis: one vector per free column below
+    ``ncols``, in column order (columns from ``ncols`` on are ignored)."""
+    zero, one = Fraction(0), Fraction(1)
+    vecs = {f: [zero] * ncols for f in range(ncols) if f not in basis}
+    for f, v in vecs.items():
+        v[f] = one
+    for p, row in basis.items():
+        for c, x in row.items():
+            if c in vecs:
+                vecs[c][p] = -x
+    return [tuple(v) for v in vecs.values()]
+
+
 def rref(m: Mat) -> RrefResult:
     """Reduced row echelon form with first-nonzero pivoting.
 
     Returns the reduced matrix, the pivot column indices in order, and the
     rank (= number of pivots).
     """
-    work = [list(row) for row in m.data]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [a * inv for a in work[r]]
-        for i in range(m.rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    reduced = Mat(m.rows, m.cols, tuple(tuple(row) for row in work))
-    return RrefResult(reduced, tuple(pivots), len(pivots))
+    basis = _reduce(dict(enumerate(row)) for row in m.data)
+    pivots = tuple(sorted(basis))
+    zero = Fraction(0)
+    data = [tuple(basis[p].get(c, zero) for c in range(m.cols)) for p in pivots]
+    data += [(zero,) * m.cols] * (m.rows - len(pivots))
+    return RrefResult(Mat(m.rows, m.cols, tuple(data)), pivots, len(pivots))
 
 
 def kernel_basis(m: Mat) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {v : m v = 0}, one vector per free column."""
-    red, pivots, _ = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.data[r][f]
-        basis.append(tuple(v))
-    return basis
+    return _kernel(_reduce(dict(enumerate(row)) for row in m.data), m.cols)
 
 
 def solve_linear(a: Mat, b: Sequence) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
@@ -197,77 +232,25 @@ def solve_linear(a: Mat, b: Sequence) -> tuple[tuple[Fraction, ...], list[tuple[
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = Mat(a.rows, a.cols + 1, tuple(
-        row + (Fraction(bi),) for row, bi in zip(a.data, b)
-    ))
-    red, pivots, _ = rref(aug)
-    if a.cols in pivots:
+    basis = _reduce({**dict(enumerate(row)), a.cols: bi} for row, bi in zip(a.data, b))
+    if a.cols in basis:
         raise InconsistentSystem("rank of augmented matrix exceeds rank of matrix")
     x = [Fraction(0)] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][a.cols]
-    return tuple(x), kernel_basis(a)
+    for p, row in basis.items():
+        x[p] = row.get(a.cols, Fraction(0))
+    return tuple(x), _kernel(basis, a.cols)
 
 
 def sparse_kernel_basis(equations: Sequence[dict[int, Fraction]],
                         ncols: int) -> list[tuple[Fraction, ...]]:
     """Kernel basis of a sparse homogeneous system given as coefficient dicts.
 
-    Columns not coupled by any equation yield unit basis vectors.  The system
-    splits into connected components of the column graph, each solved densely;
-    this keeps block-diagonal systems (e.g. commutation equations of direct
-    sums) cheap.  Output order follows the smallest column of each group.
+    The same vectors as ``kernel_basis`` of the dense matrix: one per free
+    column, in column order.  Columns not coupled by any equation yield unit
+    vectors; the elimination touches only nonzero entries, so block-diagonal
+    systems (e.g. commutation equations of direct sums) stay cheap.
     """
-    parent = list(range(ncols))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    live_eqs = [eq for eq in equations if eq]
-    for eq in live_eqs:
-        cols = sorted(eq)
-        for c in cols[1:]:
-            union(cols[0], c)
-
-    comp_cols: dict[int, list[int]] = {}
-    touched = set()
-    for eq in live_eqs:
-        touched.update(eq)
-    for c in sorted(touched):
-        comp_cols.setdefault(find(c), []).append(c)
-    comp_eqs: dict[int, list[dict[int, Fraction]]] = {root: [] for root in comp_cols}
-    for eq in live_eqs:
-        comp_eqs[find(next(iter(eq)))].append(eq)
-
-    groups: list[tuple[int, list[tuple[Fraction, ...]]]] = []
-    for c in range(ncols):
-        if c not in touched:
-            v = [Fraction(0)] * ncols
-            v[c] = Fraction(1)
-            groups.append((c, [tuple(v)]))
-    for root, cols in comp_cols.items():
-        index = {c: i for i, c in enumerate(cols)}
-        dense = Mat.shaped(len(comp_eqs[root]), len(cols), [
-            [eq.get(c, Fraction(0)) for c in cols] for eq in comp_eqs[root]
-        ])
-        vecs = []
-        for small in kernel_basis(dense):
-            v = [Fraction(0)] * ncols
-            for c, i in index.items():
-                v[c] = small[i]
-            vecs.append(tuple(v))
-        if vecs:
-            groups.append((cols[0], vecs))
-    groups.sort(key=lambda g: g[0])
-    return [v for _, vecs in groups for v in vecs]
+    return _kernel(_reduce(equations), ncols)
 
 
 def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:

@@ -125,7 +125,9 @@ def hom_space(v: Representation, w: Representation) -> list[Morphism]:
     """Basis of Hom(v, w), each element a per-vertex matrix tuple.
 
     The commutation equations form one sparse homogeneous system in the
-    entries of all phi(x); its kernel is the Hom space.
+    entries of all phi(x); its kernel is the Hom space.  The basis is
+    ``sparse_kernel_basis`` of that system: one element per free unknown, in
+    unknown order (vertex by vertex, each phi(x) row by row).
     """
     _check_same_quiver(v, w)
     q = v.quiver
@@ -138,22 +140,17 @@ def hom_space(v: Representation, w: Representation) -> list[Morphism]:
     def unknown(x: int, r: int, c: int) -> int:
         return offsets[x] + r * v.dim[x] + c
 
+    # entry (r, c) of phi(head) V(a) - W(a) phi(tail); head != tail, as a
+    # quiver has no loops, so the two parts never share an unknown
     equations: list[dict[int, Fraction]] = []
-    for ai, a in enumerate(q.arrows):
-        va, wa = v.matrices[ai], w.matrices[ai]
+    for a, va, wa in zip(q.arrows, v.matrices, w.matrices):
         for r in range(w.dim[a.head]):
             for c in range(v.dim[a.tail]):
-                eq: dict[int, Fraction] = {}
-                for k in range(v.dim[a.head]):
-                    coeff = va.data[k][c]
-                    if coeff != 0:
-                        eq[unknown(a.head, r, k)] = eq.get(unknown(a.head, r, k), Fraction(0)) + coeff
-                for k in range(w.dim[a.tail]):
-                    coeff = wa.data[r][k]
-                    if coeff != 0:
-                        key = unknown(a.tail, k, c)
-                        eq[key] = eq.get(key, Fraction(0)) - coeff
-                equations.append({k: val for k, val in eq.items() if val != 0})
+                eq = {unknown(a.head, r, k): va.data[k][c]
+                      for k in range(v.dim[a.head]) if va.data[k][c]}
+                eq.update((unknown(a.tail, k, c), -wa.data[r][k])
+                          for k in range(w.dim[a.tail]) if wa.data[r][k])
+                equations.append(eq)
 
     basis = []
     for vec in sparse_kernel_basis(equations, total):

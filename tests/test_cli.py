@@ -293,6 +293,27 @@ class TestInputsAndErrors:
         with pytest.raises(InputError, match="JSON object"):
             parse_bundle(obj)
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj["representations"]["E1"]["matrices"].update(a1=5),
+        lambda obj: obj["representations"]["E1"]["matrices"].update(a1=[5]),
+        lambda obj: obj["tubes"][0].update(simples=3),
+        lambda obj: obj["sequences"].update(main=3),
+        lambda obj: obj["tubes"][0].update(period=3.5),
+        lambda obj: obj["tubes"][0].update(period="3"),
+        lambda obj: obj["representations"]["E2"]["dim"].update({"5": True}),
+    ], ids=["matrix-number", "matrix-flat", "simples", "sequence", "period-float",
+            "period-string", "dim-bool"])
+    def test_malformed_values_are_input_errors(self, capsys, tmp_path, edit):
+        obj = d5_bundle_object()
+        edit(obj)
+        with pytest.raises(InputError):
+            parse_bundle(obj)
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "classify", "--input", str(path))
+        assert code == 2
+        assert "input error" in err
+
     def test_internal_fault_is_not_input_error(self, monkeypatch):
         original = reps.hom_space
 
@@ -309,6 +330,13 @@ class TestInputsAndErrors:
                            "--prime", "4")
         assert code == 2
         assert "not a prime" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_rejected(self, capsys, budget):
+        code, _, err = run(capsys, "subreps", "--catalog", "K3", "--reps", "V",
+                           f"--budget={budget}")
+        assert code == 2
+        assert "--budget" in err
 
     def test_bad_prime_resource_error(self, capsys, tmp_path):
         bundle = {

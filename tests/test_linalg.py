@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quiverstab.linalg import (
@@ -176,17 +176,119 @@ def test_solve_verified_by_substitution(m, data):
 
 @settings(max_examples=40, deadline=None)
 @given(matrices())
+# two components whose free columns interleave: 3 belongs to the first
+@example(mat([[1, 0, 0, 1], [0, 1, 1, 0]]))
 def test_sparse_kernel_matches_dense(m):
     equations = []
     for row in m.data:
         equations.append({j: c for j, c in enumerate(row) if c != 0})
     sparse = sparse_kernel_basis(equations, m.cols)
     dense = kernel_basis(m)
-    assert len(sparse) == len(dense)
+    # both list one vector per free column, in column order
+    assert sparse == dense
     for v in sparse:
         assert all(c == 0 for c in mat_vec(m, v))
-    if sparse:
-        assert rref(Mat.from_rows(sparse)).rank == len(sparse)
+
+
+def test_sparse_kernel_integer_coefficients_become_fractions():
+    assert sparse_kernel_basis([{0: 2, 1: 3}], 2) == [(F(-3, 2), F(1))]
+    (vec,) = sparse_kernel_basis([{0: 2, 1: 3}], 2)
+    assert all(type(c) is F for c in vec)
+
+
+# --- dense Gauss-Jordan reference -------------------------------------------
+
+def reference_rref(rows, ncols):
+    """Textbook Gauss-Jordan on a list of Fraction rows: for each column in
+    turn, the first row at or below the current one with a nonzero entry is
+    swapped up, scaled to a leading 1 and used to clear the column."""
+    work = [[F(a) for a in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        lead = work[r][c]
+        work[r] = [a / lead for a in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work, pivots
+
+
+def reference_kernel(rows, ncols):
+    work, pivots = reference_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -work[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_solve(rows, target, ncols):
+    """Particular solution read off the augmented reduction, or None."""
+    work, pivots = reference_rref([list(row) + [t] for row, t in zip(rows, target)],
+                                  ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = work[r][ncols]
+    return tuple(x)
+
+
+@st.composite
+def degenerate_matrices(draw, max_dim=6):
+    """Matrices up to max_dim x max_dim with some rows zero, some rows
+    repeating earlier ones and some columns zero."""
+    nrows = draw(st.integers(1, max_dim))
+    ncols = draw(st.integers(1, max_dim))
+    entry = st.one_of(st.just(F(0)), small_fraction)
+    data = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    for i in range(nrows):
+        kind = draw(st.sampled_from(("keep", "zero", "repeat")))
+        if kind == "zero":
+            data[i] = [F(0)] * ncols
+        elif kind == "repeat" and i:
+            data[i] = list(data[draw(st.integers(0, i - 1))])
+    for j in draw(st.sets(st.integers(0, ncols - 1))):
+        for row in data:
+            row[j] = F(0)
+    return Mat.from_rows(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_matrices(), st.data())
+def test_matches_dense_reference(m, data):
+    rows = [list(row) for row in m.data]
+    work, pivots = reference_rref(rows, m.cols)
+    result = rref(m)
+    assert result.matrix == Mat.shaped(m.rows, m.cols, work)
+    assert result.pivots == tuple(pivots)
+    assert result.rank == len(pivots)
+    assert kernel_basis(m) == reference_kernel(rows, m.cols)
+
+    target = data.draw(st.lists(st.one_of(st.just(F(0)), small_fraction),
+                                min_size=m.rows, max_size=m.rows))
+    expected = reference_solve(rows, target, m.cols)
+    if expected is None:
+        with pytest.raises(InconsistentSystem):
+            solve_linear(m, target)
+    else:
+        x, ker = solve_linear(m, target)
+        assert x == expected
+        assert ker == reference_kernel(rows, m.cols)
 
 
 def test_primitive_integer_vector():

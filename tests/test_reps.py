@@ -408,3 +408,17 @@ class TestReduceModP:
     def test_catalog_entries_reduce_everywhere(self, d5):
         for rep in d5.representations.values():
             reduce_mod_p(rep, 5)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_hom_additive_over_direct_sums(d5, seed):
+    """dim Hom is additive in each argument, also for a direct sum put in a
+    basis where its blocks are mixed."""
+    rng = random.Random(seed)
+    names = sorted(d5.representations)
+    v, w, x = (d5.representations[rng.choice(names)] for _ in range(3))
+    block = direct_sum([(v, 1), (w, 1)])
+    mixed = unimodular_conjugate(block, rng)
+    for s in (block, mixed):
+        assert hom_dim(s, x) == hom_dim(v, x) + hom_dim(w, x)
+        assert hom_dim(x, s) == hom_dim(x, v) + hom_dim(x, w)
