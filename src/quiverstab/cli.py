@@ -17,7 +17,7 @@ from typing import Sequence
 from . import catalog as catalog_mod
 from .jsonio import Bundle, InputError, load_bundle
 from .quiver import classify
-from .reps import BadPrime, Representation, direct_sum, end_algebra, ext1_dim, hom_dim, radical_dim
+from .reps import BadPrime, Representation, _is_prime, direct_sum, end_algebra, ext1_dim, hom_dim, radical_dim
 from .stability import (
     DEFAULT_BUDGET,
     DEFAULT_PRIMES,
@@ -104,7 +104,7 @@ def _load(args) -> Bundle:
 def _primes(args) -> tuple[int, ...]:
     primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
     for p in primes:
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not _is_prime(p):
             raise InputError(f"--prime {p}: not a prime")
     return primes
 

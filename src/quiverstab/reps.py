@@ -309,10 +309,15 @@ class RepModP:
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
 
 
+def _is_prime(p: int) -> bool:
+    """Trial division; moduli here are small."""
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
 def reduce_mod_p(v: Representation, p: int) -> RepModP:
     """Entrywise reduction mod p; raises BadPrime if a denominator dies."""
-    if p < 2:
-        raise ValueError("modulus must be a prime")
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not a prime")
     mats = []
     for m in v.matrices:
         rows = []

@@ -10,8 +10,11 @@ visited.  Verdicts are relative to the primes used, which every report
 records.
 
 Weight search is exact rational linear feasibility: equalities are removed
-by substituting a kernel basis and the strict inequalities (normalized to
-<= -1, which homogeneity allows) go through Fourier-Motzkin elimination.
+by substituting a kernel basis, and the strict inequalities (read as <= -1,
+which homogeneity allows) go to phase 1 of an exact simplex on their Farkas
+system.  It returns either a weight or a certificate lam >= 0 with
+sum lam = 1 and sum lam_i a_i = 0 that no weight exists; both are checked
+before find_weight answers.
 """
 
 from __future__ import annotations
@@ -215,49 +218,50 @@ class FeasibilityProblem:
     strict: tuple[tuple[int, ...], ...]
 
 
-_Row = tuple[tuple[Fraction, ...], Fraction]
+def _farkas(rows: Sequence[Sequence[Fraction]]
+            ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """Decide whether some y has a . y <= -1 for every row a (Farkas).
 
-
-def _normalize_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
-    prim = primitive_integer_vector(tuple(coeffs) + (rhs,))
-    return prim[:-1], prim[-1]
-
-
-def _eliminate(rows: list[tuple[tuple[int, ...], int]],
-               var: int) -> list[tuple[tuple[int, ...], int]] | None:
-    """One Fourier-Motzkin step; None signals a violated constant row."""
-    zeros, pos, neg = [], [], []
-    for coeffs, rhs in rows:
-        c = coeffs[var]
-        if c == 0:
-            zeros.append((coeffs, rhs))
-        elif c > 0:
-            pos.append((coeffs, rhs))
-        else:
-            neg.append((coeffs, rhs))
-    out: list[tuple[tuple[int, ...], int]] = []
-    seen = set()
-
-    def push(coeffs: Sequence[Fraction], rhs: Fraction) -> bool:
-        c, r = _normalize_row(coeffs, rhs)
-        if not any(c):
-            return r >= 0  # constant row: drop if true, fail if violated
-        if (c, r) not in seen:
-            seen.add((c, r))
-            out.append((c, r))
-        return True
-
-    for coeffs, rhs in zeros:
-        if not push(coeffs, rhs):
-            return None
-    for (pc, pr) in pos:
-        for (nc, nr) in neg:
-            cp = pc[var]
-            cn = -nc[var]
-            combined = tuple(cn * a + cp * b for a, b in zip(pc, nc))
-            if not push(combined, cn * pr + cp * nr):
-                return None
-    return out
+    Phase 1 of a Fraction tableau simplex on sum_i lam_i a_i = 0,
+    sum_i lam_i = 1, lam >= 0: one artificial variable per equation, the
+    sum of the artificials minimized, Bland's rule (lowest entering column
+    with negative reduced cost, ratio ties to the lowest basic index), which
+    cannot cycle.  Returns (None, lam) when the optimum is 0, so lam proves
+    that no y exists; else (y, None) with y = u / t, where the optimal duals
+    (u, t) = 1 - (reduced costs of the artificial columns) satisfy
+    a_i . u + t <= 0 and t, the optimum, is positive.
+    """
+    m, h = len(rows), len(rows[0])
+    width = m + h + 1
+    one, zero = Fraction(1), Fraction(0)
+    tab = [[a[r] for a in rows] + [one if k == r else zero for k in range(h + 1)]
+           + [zero] for r in range(h)]
+    tab.append([one] * m + [one if k == h else zero for k in range(h + 1)] + [one])
+    # last row: reduced costs of the phase-1 objective, then minus its value
+    tab.append([-sum(col) for col in zip(*tab)])
+    tab[-1][m:width] = [zero] * (h + 1)
+    basis = list(range(m, width))
+    cost = tab[-1]
+    while True:
+        col = next((j for j in range(width) if cost[j] < 0), None)
+        if col is None:
+            break
+        _, _, row = min((tab[r][-1] / tab[r][col], basis[r], r)
+                        for r in range(h + 1) if tab[r][col] > 0)
+        pivot = [x / tab[row][col] for x in tab[row]]
+        tab = [pivot if r == row else
+               [x - line[col] * y for x, y in zip(line, pivot)] if line[col] else line
+               for r, line in enumerate(tab)]
+        basis[row] = col
+        cost = tab[-1]
+    if cost[-1] == 0:
+        lam = [zero] * m
+        for r, j in enumerate(basis):
+            if j < m:
+                lam[j] = tab[r][-1]
+        return None, lam
+    duals = [1 - d for d in cost[m:width]]
+    return [u / duals[h] for u in duals[:h]], None
 
 
 def find_weight(problem: FeasibilityProblem) -> tuple[int, ...] | None:
@@ -265,9 +269,11 @@ def find_weight(problem: FeasibilityProblem) -> tuple[int, ...] | None:
 
     Strict negativity is the closed condition theta . v <= -1 (equivalent by
     homogeneity).  Equality constraints are substituted away via an exact
-    kernel basis; the strict system is solved by Fourier-Motzkin elimination
-    with duplicate rows dropped after each step, then back-substitution.
-    The result is scaled to coprime integers.
+    kernel basis; the strict rows then go to one exact simplex (`_farkas`).
+    A weight is scaled to coprime integers and checked on every constraint;
+    None is returned only after the Farkas certificate lam >= 0,
+    sum lam = 1, sum lam_i a_i = 0 has been checked on the substituted rows.
+    Either check failing is a fault of the program (RuntimeError).
     """
     vectors = list(problem.equalities) + list(problem.strict)
     if not vectors:
@@ -282,60 +288,23 @@ def find_weight(problem: FeasibilityProblem) -> tuple[int, ...] | None:
         null = [tuple(Fraction(1 if i == j else 0) for j in range(n))
                 for i in range(n)]
     h = len(null)
-    zero_theta = tuple(0 for _ in range(n))
-    if h == 0:
-        return None if problem.strict else zero_theta
-
-    rows: list[tuple[tuple[int, ...], int]] = []
-    seen = set()
-    for s in problem.strict:
-        coeffs = tuple(sum((Fraction(si) * kj for si, kj in zip(s, k)), Fraction(0))
-                       for k in null)
-        c, r = _normalize_row(coeffs, Fraction(-1))
-        if not any(c):
-            if r < 0:
-                return None  # a strict vector lies in the span of equalities
-            continue
-        if (c, r) not in seen:
-            seen.add((c, r))
-            rows.append((c, r))
-
-    systems: list[list[tuple[tuple[int, ...], int]]] = [None] * h  # type: ignore
-    systems[h - 1] = rows
-    for j in range(h - 1, 0, -1):
-        nxt = _eliminate(systems[j], j)
-        if nxt is None:
+    rows = [[sum((Fraction(si) * kj for si, kj in zip(s, k)), Fraction(0)) for k in null]
+            for s in problem.strict]
+    ys = [Fraction(0)] * h  # with no strict rows the zero weight will do
+    if rows:
+        ys, lam = _farkas(rows)
+        if ys is None:
+            if any(x < 0 for x in lam) or sum(lam) != 1 or any(
+                    sum(x * a[j] for x, a in zip(lam, rows)) != 0 for j in range(h)):
+                raise RuntimeError(f"Farkas certificate {lam} does not prove infeasibility")
             return None
-        systems[j - 1] = nxt
-
-    ys: list[Fraction] = []
-    for j in range(h):
-        lo = hi = None
-        for coeffs, rhs in systems[j]:
-            c = coeffs[j]
-            if c == 0:
-                continue
-            bound = (Fraction(rhs) - sum(
-                (Fraction(coeffs[k]) * ys[k] for k in range(j)), Fraction(0))) / c
-            if c > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
-        if lo is not None and hi is not None and lo > hi:
-            return None
-        if (lo is None or lo <= 0) and (hi is None or hi >= 0):
-            ys.append(Fraction(0))
-        elif lo is not None and lo > 0:
-            ys.append(lo)
-        else:
-            ys.append(hi)  # type: ignore[arg-type]
 
     theta_frac = [sum((y * k[i] for y, k in zip(ys, null)), Fraction(0))
                   for i in range(n)]
     theta = primitive_integer_vector(theta_frac)
     if any(_dot(theta, e) != 0 for e in problem.equalities) or any(
             _dot(theta, s) > -1 for s in problem.strict):
-        raise RuntimeError(f"weight {theta} found by elimination violates the problem")
+        raise RuntimeError(f"weight {theta} found by the simplex violates the problem")
     return theta
 
 

@@ -1,4 +1,10 @@
+import signal
+from contextlib import contextmanager
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quiverstab import stability
 from quiverstab.quiver import Quiver
@@ -86,6 +92,13 @@ class TestSubrepOracle:
         with pytest.raises(BudgetExceeded, match="10000 subspaces"):
             subrep_dimvectors(zero, 5, budget=10_000)
 
+    @pytest.mark.parametrize("p", [4, 6, 9])
+    def test_composite_modulus_rejected(self, k2, d5, p):
+        with pytest.raises(ValueError, match="not a prime"):
+            check_stability(k2.representations["R0"], (1, -1), primes=(p,))
+        with pytest.raises(ValueError, match="not a prime"):
+            subrep_dimvectors(d5.representations["V0"], p)
+
 
 class TestCheckStability:
     def test_simple_zero_weight(self, d5):
@@ -171,13 +184,95 @@ class TestFindWeight:
         FeasibilityProblem(equalities=(), strict=((1, 0),)),
     ])
     def test_violating_result_is_an_internal_error(self, monkeypatch, problem):
-        # only the final scaling sees vectors of length n; the normalized
-        # elimination rows carry one more entry
+        # primitive_integer_vector only scales the final weight, whose
+        # length is n = 2
         real = stability.primitive_integer_vector
         monkeypatch.setattr(stability, "primitive_integer_vector",
                             lambda vec: (1, 0) if len(vec) == 2 else real(vec))
         with pytest.raises(RuntimeError, match="violates"):
             find_weight(problem)
+
+    def test_mixed_sign_rows_solve_quickly(self):
+        # 6 unknowns, 24 strict rows of mixed signs, planted weight
+        # (-1, -2, 0, 2, -3, -3): rows like these make the row count of
+        # Fourier-Motzkin elimination explode
+        problem = FeasibilityProblem((), (
+            (3, 1, -3, -1, 1, -3), (1, -2, -3, -3, 0, 0), (3, 2, 3, -1, 0, 3),
+            (3, 1, -3, -2, 2, 2), (-1, 3, -1, -1, 0, 3), (2, 3, -1, -3, 2, 1),
+            (0, -2, 1, -3, 1, -1), (1, 3, 2, -2, -3, 1), (1, 2, -2, -1, -3, 1),
+            (-2, 3, -1, 3, -1, 2), (0, 2, 1, 0, 3, -1), (0, -1, 0, 1, 1, 2),
+            (-3, 2, -2, -3, 2, 3), (1, -1, 1, 0, -1, 2), (0, 1, -1, 3, 3, -1),
+            (0, 2, -3, 1, 2, 0), (0, -3, 2, -3, 3, 1), (1, 3, 3, -1, -1, 2),
+            (-1, 1, 0, 1, 3, 0), (-3, 3, -3, -1, 0, 2), (-2, 3, 3, -2, -2, 1),
+            (-2, -1, -2, -3, 0, 1), (-2, 0, -2, 1, 3, 0), (1, 2, -1, 3, 0, 3)))
+        with time_limit(1):
+            theta = find_weight(problem)
+        assert theta is not None
+        assert all(sum(t * c for t, c in zip(theta, s)) <= -1 for s in problem.strict)
+
+    @pytest.mark.parametrize("lam", [
+        (1, 0, 0),    # sum lam_i a_i != 0
+        (1, 1, 0),    # sum lam != 1
+        (-1, 1, 1),   # a negative multiplier
+    ])
+    def test_bogus_certificate_is_an_internal_error(self, monkeypatch, lam):
+        monkeypatch.setattr(stability, "_farkas",
+                            lambda rows: (None, [Fraction(x) for x in lam]))
+        with pytest.raises(RuntimeError, match="certificate"):
+            find_weight(FeasibilityProblem((), ((1, 0), (-1, 0), (2, 0))))
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the enclosed call instead of hanging when it runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def feasibility_problems(draw):
+    """At most 5 unknowns, 2 equalities and 10 strict rows with entries in
+    [-3, 3]; some strict rows are zero, repeat an earlier row or lie in the
+    span of the equalities."""
+    n = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(-3, 3)] * n)
+    equalities = draw(st.lists(vector, max_size=2))
+    strict = draw(st.lists(vector, min_size=0 if equalities else 1, max_size=10))
+    for i in range(len(strict)):
+        kind = draw(st.sampled_from(("keep", "zero", "repeat", "span")))
+        if kind == "zero":
+            strict[i] = (0,) * n
+        elif kind == "repeat" and i:
+            strict[i] = strict[draw(st.integers(0, i - 1))]
+        elif kind == "span" and equalities:
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(equalities),
+                                   max_size=len(equalities)))
+            strict[i] = tuple(sum(c * e[j] for c, e in zip(coeffs, equalities))
+                              for j in range(n))
+    return FeasibilityProblem(tuple(equalities), tuple(strict))
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasibility_problems())
+# Bland's rule without the lowest-basic-index tie-break cycles on this one
+@example(FeasibilityProblem((), (
+    (3, -1, -2, -3, 1), (-3, -3, 3, -3, 3), (3, 1, -3, 2, -1), (0, -1, 3, 2, 2),
+    (-3, 1, 0, -3, 3), (-3, 1, 0, -3, 0), (2, -1, 0, 0, 3), (-3, -1, 2, 3, 0),
+    (-1, 2, -3, 3, -1))))
+def test_find_weight_answers_are_checked(problem):
+    # a wrong weight or a wrong certificate raises RuntimeError inside
+    with time_limit(5):
+        theta = find_weight(problem)
+    if theta is not None:
+        assert all(sum(t * c for t, c in zip(theta, e)) == 0 for e in problem.equalities)
+        assert all(sum(t * c for t, c in zip(theta, s)) <= -1 for s in problem.strict)
 
 
 class TestLocallySemisimple:
